@@ -19,7 +19,8 @@ it back to the paper's protocol:
 
 At the end of the session the collected results are rendered as the Figure-6
 panels, the Tables I–IV mapping times and the Section-V headline, and written
-to ``benchmarks/EXPERIMENTS_generated.md``.
+to ``benchmarks/out/EXPERIMENTS_generated.md`` (git-ignored, so a test run
+leaves the working tree clean).
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def _report_at_session_end(request, collector, bench_config):
             render_mapping_time_table(sweep, size, number=_TABLE_NUMBERS.get(size, "?"))
         )
     print("\n".join(lines))
-    output = Path(__file__).parent / "EXPERIMENTS_generated.md"
+    output = Path(__file__).parent / "out" / "EXPERIMENTS_generated.md"
+    output.parent.mkdir(exist_ok=True)
     output.write_text(render_markdown_report(sweep), encoding="utf-8")
     print(f"\nreport written to {output}")
 

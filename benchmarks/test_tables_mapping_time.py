@@ -3,7 +3,7 @@
 Together with ``test_figure6_ii.py`` (which times the SAT-MapIt runs) these
 items provide both columns of the paper's per-mesh mapping-time tables; the
 rendered tables are printed at the end of the benchmark session and written to
-``EXPERIMENTS_generated.md``.
+``benchmarks/out/EXPERIMENTS_generated.md``.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ class EncodingStats:
     num_pruned_placements: int = 0
     #: Exact duplicate clauses the constraint generators produced and the
     #: emitter dropped at ingest (e.g. the same implication reached through
-    #: two dependency edges); surfaced originally by ``PreprocessStats``.
+    #: two dependency edges).
     num_duplicate_clauses: int = 0
     #: Bulk flushes the batching emitter pushed into the sink — the whole
     #: constraint group crosses the encoder/solver boundary in this many

@@ -82,13 +82,19 @@ class SearchContext:
         return self.config.max_ii
 
     def make_backend(self) -> "SolverBackend | None":
-        """A fresh persistent backend (``None`` in non-incremental mode)."""
+        """The run's persistent backend (``None`` in non-incremental mode).
+
+        Non-incremental runs get one backend per (II, slack) attempt from
+        :meth:`new_backend` instead.
+        """
+        return self.new_backend() if self.config.incremental else None
+
+    def new_backend(self) -> "SolverBackend":
+        """A fresh backend built from the run's configuration."""
         from repro.sat.backend import create_backend
         from repro.sat.external import is_external_backend
 
         config = self.config
-        if not config.incremental:
-            return None
         name = self.outcome.backend_name
         kwargs: dict[str, object] = {"random_seed": config.random_seed}
         if is_external_backend(name):
@@ -132,7 +138,8 @@ class SearchContext:
         """
         before = len(self.outcome.attempts)
         found = self.mapper._try_ii(
-            self.dfg, self.cgra, ii, self.outcome, self.start, backend
+            self.dfg, self.cgra, ii, self.outcome, self.start, backend,
+            self.new_backend,
         )
         if self.seed is not None:
             for attempt in self.outcome.attempts[before:]:

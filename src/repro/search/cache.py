@@ -99,7 +99,6 @@ SEMANTIC_CONFIG_FIELDS: tuple[str, ...] = (
     "amo_encoding",
     "amo_probe_conflicts",
     "backend",
-    "preprocess",
     "incremental",
     "max_iteration_span",
     "enforce_output_register",
@@ -163,7 +162,7 @@ def config_fingerprint(config: "MapperConfig") -> dict:
     """The semantic slice of a mapper configuration, as plain data."""
     fingerprint: dict = {}
     for name in SEMANTIC_CONFIG_FIELDS:
-        value = getattr(config, name, None)
+        value = getattr(config, name)
         if isinstance(value, enum.Enum):
             value = value.value
         fingerprint[name] = value

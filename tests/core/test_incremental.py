@@ -16,6 +16,7 @@ from repro.core.regalloc import RegisterAllocation
 from repro.dfg.graph import DFG, paper_running_example
 from repro.experiments.runner import SAT_MAPIT, ExperimentConfig, run_sweep
 from repro.kernels import get_kernel
+from repro.sat.backend import DPLLBackend
 
 
 class TestSemanticEquivalence:
@@ -84,13 +85,48 @@ class TestIncrementalBookkeeping:
         assert len(outcome.attempts) >= 2
         assert outcome.learned_carried > 0
 
-    def test_fresh_mode_records_no_selectors(self):
+    def test_fresh_mode_carries_no_learned_clauses(self):
         outcome = SatMapItMapper(
             MapperConfig(timeout=60, incremental=False)
-        ).map(paper_running_example(), CGRA.square(2))
+        ).map(get_kernel("gsm"), CGRA.square(2))
         assert outcome.success
-        assert all(a.selector is None for a in outcome.attempts)
-        assert outcome.learned_carried == 0
+        assert len(outcome.attempts) >= 2
+        assert all(a.learned_carried_in == 0 for a in outcome.attempts)
+
+
+class TestFreshModeHonoursConfig:
+    """``incremental=False`` builds each attempt's backend from the config."""
+
+    def test_dpll_backend_serves_every_solve(self, monkeypatch):
+        calls = {"n": 0}
+        real_solve = DPLLBackend.solve
+
+        def counting_solve(self, *args, **kwargs):
+            calls["n"] += 1
+            return real_solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(DPLLBackend, "solve", counting_solve)
+        dfg = DFG.from_edge_list("tiny", 3, [(0, 1), (1, 2)])
+        outcome = SatMapItMapper(
+            MapperConfig(timeout=60, backend="dpll", incremental=False)
+        ).map(dfg, CGRA.square(2))
+        assert outcome.success
+        assert outcome.backend_name == "dpll"
+        assert calls["n"] >= 1
+        assert calls["n"] == sum(a.solve_calls for a in outcome.attempts)
+
+    def test_proof_digest_on_unsat_attempt(self, tmp_path):
+        outcome = SatMapItMapper(
+            MapperConfig(
+                timeout=60, incremental=False, proof=True,
+                dimacs_dir=str(tmp_path),
+            )
+        ).map(get_kernel("gsm"), CGRA.square(2))
+        assert outcome.success
+        unsat = [a for a in outcome.attempts if a.status == "UNSAT"]
+        assert unsat and all(a.proof_digest for a in unsat)
+        assert outcome.proof_path is not None
+        assert list(tmp_path.glob("*.drat"))
 
 
 class TestRegallocRetriesArePureIncremental:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -11,11 +12,13 @@ from repro.core.mapper import MapperConfig, SatMapItMapper
 from repro.kernels import get_kernel
 from repro.search.cache import (
     SCHEMA,
+    SEMANTIC_CONFIG_FIELDS,
     CacheStats,
     MappingCache,
     cache_key,
     config_fingerprint,
 )
+from repro.service.protocol import _CONFIG_FIELDS
 from repro.simulator import CGRASimulator
 
 
@@ -60,6 +63,12 @@ class TestCacheKey:
         fingerprint = config_fingerprint(MapperConfig())
         json.dumps(fingerprint)  # must be plain data
         assert fingerprint["amo_encoding"] == MapperConfig().amo_encoding.value
+
+    def test_config_field_lists_name_only_mapper_fields(self):
+        """The cache key and the service request schema list live fields."""
+        fields = {field.name for field in dataclasses.fields(MapperConfig)}
+        assert set(SEMANTIC_CONFIG_FIELDS) <= fields
+        assert set(_CONFIG_FIELDS) <= fields
 
 
 class TestCacheRoundTrip:

@@ -90,7 +90,7 @@ class TestConfigValidation:
         with pytest.raises(ProtocolError, match="wrong type"):
             parse({"kernel": "srand", "config": {"max_ii": "many"}})
         with pytest.raises(ProtocolError, match="wrong type"):
-            parse({"kernel": "srand", "config": {"preprocess": 1}})
+            parse({"kernel": "srand", "config": {"incremental": 1}})
 
     def test_amo_encoding_parsed_and_validated(self):
         request = parse(
