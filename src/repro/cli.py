@@ -145,7 +145,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
         cache_max_mb=args.cache_max_mb,
         seed_heuristic=args.seed_heuristic,
         seed_time_budget=args.seed_budget,
-        tuner_dir=args.tuner,
         dimacs_dir=args.dimacs_dir,
         reuse_dimacs=args.reuse_dimacs,
         proof=args.proof,
@@ -191,13 +190,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
                 f"seed: no feasible heuristic mapping within "
                 f"{outcome.seed_time:.3f}s — unseeded search"
             )
-    if outcome.tuner_stats is not None and not outcome.cache_hit:
-        if outcome.tuner_consulted:
-            lineup = ", ".join(outcome.tuner_lineup or ())
-            print(f"tuner: consulted persisted lane stats — line-up: {lineup}")
-        else:
-            print("tuner: cold start (no lane stats for this problem yet)")
-        print(f"tuner: {outcome.tuner_stats.summary()}")
     if outcome.search_strategy == "portfolio" and not outcome.cache_hit:
         winner = (
             f", winning variant: {outcome.portfolio_winner}"
@@ -333,7 +325,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache_dir=args.cache,
         cache_max_mb=args.cache_max_mb,
         seed_heuristic=args.seed_heuristic,
-        tuner_dir=args.tuner,
         dimacs_dir=args.dimacs_dir,
         reuse_dimacs=args.reuse_dimacs,
         proof=args.proof,
@@ -418,7 +409,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pool_size=args.pool,
         cache_dir=args.cache,
         cache_max_mb=args.cache_max_mb,
-        tuner_dir=args.tuner,
         limits=limits,
     )
     return run_service(manager, host=args.host, port=args.port)
@@ -532,11 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="wall budget for --seed-heuristic "
                               "(default: 2.0)")
-    map_cmd.add_argument("--tuner", metavar="DIR",
-                         help="persistent lane-tuner store: the portfolio "
-                              "records per-lane win/loss/wall statistics "
-                              "keyed by (kernel shape, fabric) and consults "
-                              "them to pick its line-up on later runs")
     map_cmd.add_argument("--partition", action="store_true",
                          help="partition-and-stitch mode for big fabrics: "
                               "cut the DFG into balanced partitions "
@@ -641,9 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--seed-heuristic", action="store_true",
                            help="heuristic II-seeding pre-pass before every "
                                 "SAT-MapIt search")
-    sweep_cmd.add_argument("--tuner", metavar="DIR",
-                           help="persistent lane-tuner store shared by all "
-                                "portfolio runs of the sweep")
     sweep_cmd.add_argument("--write-report", metavar="PATH",
                            help="write EXPERIMENTS-style Markdown report to PATH")
     sweep_cmd.set_defaults(func=_cmd_sweep)
@@ -689,9 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="MB",
                            help="per-tenant cache size budget; oldest "
                                 "entries evicted first (default: unbounded)")
-    serve_cmd.add_argument("--tuner", metavar="DIR",
-                           help="persistent lane-tuner store shared by all "
-                                "portfolio-backed requests")
     serve_cmd.add_argument("--default-timeout", type=float, default=60.0,
                            metavar="SECONDS",
                            help="wall budget for requests that set none "

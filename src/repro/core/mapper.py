@@ -186,11 +186,6 @@ class MapperConfig:
     #: :data:`repro.baselines.HEURISTIC_MAPPERS`); later mappers only
     #: search below the best II already found.
     seed_mappers: tuple[str, ...] = ("ramp", "pathseeker")
-    #: Directory of the persistent lane-statistics store
-    #: (:class:`repro.search.tuner.LaneTuner`); ``None`` disables tuning.
-    #: The portfolio consults it to order its variant line-up and size the
-    #: probe conflict budget, and records each settled race back into it.
-    tuner_dir: str | None = None
 
 
 @dataclass
@@ -299,12 +294,6 @@ class MappingOutcome:
     seed_mapper: str | None = None
     seed_time: float = 0.0
     seed_used: bool = False
-    #: Lane-tuner interaction (``tuner_dir`` runs only): whether persisted
-    #: statistics informed the portfolio line-up, the line-up raced, and
-    #: the handle's counters (:class:`repro.search.tuner.TunerStats`).
-    tuner_consulted: bool = False
-    tuner_lineup: tuple[str, ...] | None = None
-    tuner_stats: object | None = None
     #: Path of the most recent DRAT trace emitted during the run (``None``
     #: unless ``MapperConfig.proof`` was on and an UNSAT attempt produced
     #: one); per-attempt digests live in ``IIAttempt.proof_digest``.
@@ -480,16 +469,7 @@ class SatMapItMapper:
                     f"{budget:.1f}s"
                 )
 
-        tuner = None
-        if config.tuner_dir:
-            from repro.search.tuner import LaneTuner
-
-            tuner = LaneTuner(config.tuner_dir)
-            outcome.tuner_stats = tuner.stats
-
-        context = SearchContext(
-            self, dfg, cgra, outcome, start, first_ii, seed=seed, tuner=tuner
-        )
+        context = SearchContext(self, dfg, cgra, outcome, start, first_ii, seed=seed)
         found = strategy.search(context)
         outcome.total_time = time.perf_counter() - start
         if found is not None:

@@ -104,8 +104,6 @@ class ExperimentConfig:
     #: Run the budgeted heuristic seeding pre-pass before every SAT-MapIt
     #: search (see :mod:`repro.search.seed`).
     seed_heuristic: bool = False
-    #: Persistent lane-tuner store for portfolio runs (``None`` disables).
-    tuner_dir: str | None = None
     #: Keep DIMACS exports / DRAT traces under this directory
     #: (see :mod:`repro.sat.dimacs`); ``None`` uses throwaway temp files.
     dimacs_dir: str | None = None
@@ -167,8 +165,6 @@ class RunRecord:
     seed_ii: int | None = None
     seed_used: bool = False
     seed_time: float = 0.0
-    #: Whether the portfolio consulted persisted lane statistics.
-    tuner_consulted: bool = False
     #: Farm provenance (parallel sweeps only): transient-failure retries
     #: this item consumed before the recorded result, whether the record
     #: was served from a resumed journal without re-solving, whether the
@@ -255,7 +251,6 @@ def build_mapper(name: str, config: ExperimentConfig, seed: int | None = None):
                 cache_dir=config.cache_dir,
                 cache_max_mb=config.cache_max_mb,
                 seed_heuristic=config.seed_heuristic,
-                tuner_dir=config.tuner_dir,
                 dimacs_dir=config.dimacs_dir,
                 reuse_dimacs=config.reuse_dimacs,
                 proof=config.proof,
@@ -317,7 +312,6 @@ def run_single(
         seed_ii=getattr(outcome, "seed_ii", None),
         seed_used=getattr(outcome, "seed_used", False),
         seed_time=getattr(outcome, "seed_time", 0.0),
-        tuner_consulted=getattr(outcome, "tuner_consulted", False),
     )
 
 

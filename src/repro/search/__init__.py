@@ -22,9 +22,6 @@ and solved, so this package factors it out of the mapper:
 * :mod:`repro.search.seed` — a budgeted heuristic pre-pass (RAMP /
   PathSeeker) whose validated mapping becomes a feasible upper bound every
   strategy exploits, and the anytime answer on timeout.
-* :class:`repro.search.tuner.LaneTuner` — a persistent per-problem-class
-  statistics store the portfolio consults to pick its lane line-up and
-  probe budgets, learning from every settled race.
 
 Strategies are selected by name through ``MapperConfig.search`` / the CLI's
 ``--search`` flag; new ones plug in via :func:`register_strategy`.
@@ -48,7 +45,6 @@ from repro.search.portfolio import (
     PortfolioStrategy,
 )
 from repro.search.seed import SeedResult, run_seed
-from repro.search.tuner import LaneTuner, TunerStats, tuner_key
 
 register_strategy("ladder", LadderStrategy)
 register_strategy("bisect", BisectionStrategy)
@@ -58,7 +54,6 @@ __all__ = [
     "BisectionStrategy",
     "CacheStats",
     "LadderStrategy",
-    "LaneTuner",
     "MappingCache",
     "PORTFOLIO_VARIANTS",
     "PortfolioStrategy",
@@ -66,11 +61,9 @@ __all__ = [
     "SearchResult",
     "SearchStrategy",
     "SeedResult",
-    "TunerStats",
     "available_strategies",
     "cache_key",
     "create_strategy",
     "register_strategy",
     "run_seed",
-    "tuner_key",
 ]

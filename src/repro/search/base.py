@@ -55,7 +55,6 @@ class SearchContext:
         start: float,
         first_ii: int,
         seed: SearchResult | None = None,
-        tuner: object | None = None,
     ) -> None:
         self.mapper = mapper
         self.dfg = dfg
@@ -68,10 +67,6 @@ class SearchContext:
         #: search ``[first_ii, seed.ii - 1]`` and fall back to the seed
         #: itself on exhaustion or timeout; ``None`` in unseeded runs.
         self.seed = seed
-        #: Persistent lane-statistics handle
-        #: (:class:`repro.search.tuner.LaneTuner`) the portfolio consults
-        #: and feeds; ``None`` when tuning is off.
-        self.tuner = tuner
 
     @property
     def config(self) -> "MapperConfig":

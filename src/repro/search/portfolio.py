@@ -73,11 +73,11 @@ PORTFOLIO_VARIANTS: dict[str, dict] = {
                    "amo_probe_conflicts": None},
     # External-solver lanes (see repro.sat.external): the attempt is
     # exported to DIMACS and solved by a subprocess.  They are ordinary
-    # lanes to the racing/cancellation machinery and the tuner; their
-    # availability is validated up front by variant_overrides so a missing
-    # binary fails as one clear error, not per worker.  "subprocess" is
-    # the always-available bundled solver; "kissat"/"minisat" need the
-    # system binary on PATH.
+    # lanes to the racing/cancellation machinery; their availability is
+    # validated up front by variant_overrides so a missing binary fails as
+    # one clear error, not per worker.  "subprocess" is the
+    # always-available bundled solver; "kissat"/"minisat" need the system
+    # binary on PATH.
     "subprocess": {"backend": "subprocess"},
     "kissat": {"backend": "kissat"},
     "minisat": {"backend": "minisat"},
@@ -213,18 +213,6 @@ class PortfolioStrategy(SearchStrategy):
         # resolved infeasible and the seed mapping is the answer.
         top_ii = ctx.max_ii if seed is None else min(ctx.max_ii, seed.ii - 1)
         variant_names = tuple(config.portfolio_variants) or ("default",)
-        probe_override: int | None = None
-        tuner = ctx.tuner
-        tuner_key: str | None = None
-        if tuner is not None:
-            tuner_key = tuner.key(ctx.dfg, ctx.cgra)
-            choice = tuner.choose(
-                tuner_key, variant_names, tuple(PORTFOLIO_VARIANTS)
-            )
-            ctx.outcome.tuner_consulted = choice.consulted
-            if choice.consulted:
-                variant_names = choice.lineup
-                probe_override = choice.probe_conflicts
         # Racing variants only pays when they actually run in parallel: on a
         # box with fewer cores than variants, the extra lanes just timeshare
         # the winner's core.  Trim the line-up to the machine's parallelism
@@ -233,7 +221,6 @@ class PortfolioStrategy(SearchStrategy):
         # only drops variants, never reorders them.
         cpu_budget = os.cpu_count() or 1
         variant_names = variant_names[: max(1, cpu_budget)]
-        ctx.outcome.tuner_lineup = variant_names if tuner is not None else None
         overrides = variant_overrides(variant_names)
         jobs = max(1, config.search_jobs)
 
@@ -259,10 +246,6 @@ class PortfolioStrategy(SearchStrategy):
         # lane is only failed after a grace period of poll rounds.
         pending_dead: dict[int, int] = {}
         states: dict[int, _IIState] = {}
-        # One record per settled lane, for the tuner: which lane, at which
-        # II, did it deliver the verdict and how much wall/conflicts it
-        # spent.  ``won`` is resolved at return time against the winning II.
-        lane_log: list[dict] = []
         frontier = ctx.first_ii
         best_win_ii: int | None = None  # lowest II with a win so far
         token_counter = 0
@@ -278,8 +261,7 @@ class PortfolioStrategy(SearchStrategy):
         def launch(ii: int, lane: int) -> None:
             nonlocal token_counter
             worker_config = self._worker_config(
-                config, lane_overrides(lane), ii, ctx.remaining_time(),
-                probe_override,
+                config, lane_overrides(lane), ii, ctx.remaining_time()
             )
             token = token_counter
             token_counter += 1
@@ -353,21 +335,8 @@ class PortfolioStrategy(SearchStrategy):
             state = states[ii]
             if isinstance(payload, str):  # worker crashed; treat as failure
                 state.failed_lanes += 1
-                lane_log.append({
-                    "ii": ii, "lane": lane_name(lane), "outcome": None,
-                    "wall_s": 0.0, "conflicts": 0,
-                })
                 return
             worker_outcome = payload
-            lane_log.append({
-                "ii": ii,
-                "lane": lane_name(lane),
-                "outcome": worker_outcome,
-                "wall_s": worker_outcome.total_time,
-                "conflicts": sum(
-                    a.conflicts for a in worker_outcome.attempts
-                ),
-            })
             outcome.attempts.extend(worker_outcome.attempts)
             if worker_outcome.success and worker_outcome.mapping is not None:
                 if state.win is None:
@@ -457,11 +426,6 @@ class PortfolioStrategy(SearchStrategy):
                         outcome.portfolio_winner = state.winning_variant
                         cancel_all()
                         self._finalise_attempts(outcome)
-                        if tuner is not None and tuner_key is not None:
-                            self._record_tuner(
-                                tuner, tuner_key, lane_log, frontier,
-                                state.win,
-                            )
                         return SearchResult(
                             ii=frontier,
                             mapping=state.win.mapping,
@@ -499,14 +463,13 @@ class PortfolioStrategy(SearchStrategy):
     @staticmethod
     def _worker_config(
         config: "MapperConfig", overrides: dict, ii: int,
-        remaining: float | None, probe_override: int | None = None,
+        remaining: float | None,
     ) -> "MapperConfig":
         """Specialise the run's config for one (II, variant) worker.
 
-        Seeding and tuning are parent-side concerns: the parent already ran
-        the heuristic pre-pass and consulted the store, so workers get both
-        switched off (a worker re-seeding its single II would be pure
-        overhead and a worker re-recording would double-count races).
+        Seeding is a parent-side concern: the parent already ran the
+        heuristic pre-pass, so workers get it switched off (a worker
+        re-seeding its single II would be pure overhead).
         """
         fields: dict = dict(overrides)
         fields["search"] = "ladder"
@@ -514,42 +477,9 @@ class PortfolioStrategy(SearchStrategy):
         fields["max_ii"] = ii
         fields["verbose"] = False
         fields["seed_heuristic"] = False
-        fields["tuner_dir"] = None
         if remaining is not None:
             fields["timeout"] = remaining
-        if (
-            probe_override is not None
-            and "amo_probe_conflicts" not in overrides
-            and config.amo_probe_conflicts is not None
-        ):
-            # Tuner-sized probe budget, applied only to lanes that keep the
-            # probe/escalation two-phase (sound: an inconclusive probe still
-            # escalates to the full encoding, whatever its budget).
-            fields["amo_probe_conflicts"] = probe_override
         return replace(config, **fields)
-
-    @staticmethod
-    def _record_tuner(
-        tuner, key: str, lane_log: list[dict], win_ii: int, winner,
-    ) -> None:
-        """Feed the settled race back into the lane store.
-
-        Only lanes that raced the *winning* II to a verdict carry signal:
-        the one whose outcome became the win is the winner, its settled
-        siblings are losses.  Lanes at other IIs (proof work) and cancelled
-        lanes (no verdict) are not scored.
-        """
-        results = [
-            {
-                "lane": entry["lane"],
-                "won": entry["outcome"] is winner,
-                "wall_s": entry["wall_s"],
-                "conflicts": entry["conflicts"],
-            }
-            for entry in lane_log
-            if entry["ii"] == win_ii
-        ]
-        tuner.record(key, results)
 
     @staticmethod
     def _cancel_moot(

@@ -83,7 +83,7 @@ class MapRequest:
 # ---------------------------------------------------------------------------
 
 #: MapperConfig fields a request may set, with their expected JSON shape.
-#: File-system knobs (cache/tuner/DIMACS directories, namespaces) and
+#: File-system knobs (cache/DIMACS directories, namespaces) and
 #: debug output are service-owned and deliberately absent — a request
 #: must never choose where the server writes.
 _CONFIG_FIELDS: dict[str, str] = {

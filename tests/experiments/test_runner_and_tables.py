@@ -117,24 +117,9 @@ class TestSearchAndCachePlumbing:
         )
         sweep = run_sweep(config)
         text = render_markdown_report(sweep)
-        assert "## Heuristic seeding & lane tuner" in text
+        assert "## Heuristic seeding\n" in text
         assert "pre-passes yielding a validated seed mapping" in text
         assert "* heuristic II seeding: on" in text
-
-    def test_render_lane_winrates_table(self, tmp_path):
-        from repro.experiments.tables import render_lane_winrates
-        from repro.search.tuner import LaneTuner
-
-        empty = render_lane_winrates(str(tmp_path))
-        assert "no recorded races yet" in empty
-        tuner = LaneTuner(tmp_path)
-        tuner.record("0" * 64, [
-            {"lane": "default", "won": True, "wall_s": 0.4, "conflicts": 50},
-            {"lane": "no-probe", "won": False, "wall_s": 1.0, "conflicts": 0},
-        ])
-        text = render_lane_winrates(str(tmp_path))
-        assert "default" in text and "no-probe" in text
-        assert "100.0%" in text  # default's win rate leads the table
 
 
 class TestRunnerHelpers:

@@ -185,6 +185,47 @@ class TestPortfolio:
             a.status == "REGALLOC_FAIL" for a in portfolio.attempts
         )
 
+    @pytest.mark.parametrize("lineup", [
+        ("no-probe", "default", "pairwise"),
+        ("pairwise", "no-probe", "default"),
+    ])
+    def test_core_count_trim_keeps_configured_order(self, monkeypatch,
+                                                    lineup):
+        """On a one-core box the line-up is cut to its first variant, so
+        every lane that runs is that variant and it wins every II."""
+        from repro.search import portfolio as portfolio_module
+
+        raced: list[tuple[str, ...]] = []
+        resolve = portfolio_module.variant_overrides
+
+        def spy(names):
+            raced.append(tuple(names))
+            return resolve(names)
+
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        monkeypatch.setattr(portfolio_module, "variant_overrides", spy)
+        ladder = _map("nw", size=2, search="ladder")
+        portfolio = _map(
+            "nw", size=2, search="portfolio", search_jobs=2,
+            portfolio_variants=lineup,
+        )
+        assert raced == [lineup[:1]]
+        assert portfolio.portfolio_winner == lineup[0]
+        assert portfolio.ii == ladder.ii
+
+    def test_workers_do_not_recurse_into_seeding(self):
+        from repro.search.portfolio import PortfolioStrategy
+
+        config = MapperConfig(
+            seed_heuristic=True, cache_dir="cache", search="portfolio"
+        )
+        worker = PortfolioStrategy._worker_config(config, {}, ii=4,
+                                                  remaining=10.0)
+        assert worker.seed_heuristic is False
+        assert worker.cache_dir is None
+        assert worker.search == "ladder"
+        assert worker.max_ii == 4
+
     def test_timeout_is_reported(self):
         # A timeout that cannot fit even one attempt must come back as a
         # timed-out failure, with every worker reaped.

@@ -79,8 +79,9 @@ class TestConfigValidation:
             parse({"kernel": "srand", "config": {"warp_speed": 9}})
 
     def test_filesystem_fields_are_not_requestable(self):
-        # Cache/tuner placement is service-owned: a request choosing where
-        # the server writes would be a path-traversal primitive.
+        # File-system placement is service-owned: a request choosing where
+        # the server writes would be a path-traversal primitive.  The
+        # retired ``tuner_dir`` field must stay unknown as well.
         for field in ("cache_dir", "cache_namespace", "tuner_dir",
                       "dimacs_dir", "verbose"):
             with pytest.raises(ProtocolError, match="unknown config field"):

@@ -104,26 +104,21 @@ class TestParser:
         assert args.search == "bisect"
         assert args.cache == "/tmp/cache"
 
-    def test_seed_and_tuner_flags_parsed(self):
+    def test_seed_flags_parsed(self):
         args = build_parser().parse_args(
             ["map", "--kernel", "srand", "--seed-heuristic",
-             "--seed-budget", "0.5", "--tuner", "/tmp/tuner",
-             "--cache-max-mb", "16"]
+             "--seed-budget", "0.5", "--cache-max-mb", "16"]
         )
         assert args.seed_heuristic is True
         assert args.seed_budget == 0.5
-        assert args.tuner == "/tmp/tuner"
         assert args.cache_max_mb == 16.0
         defaults = build_parser().parse_args(["map", "--kernel", "srand"])
         assert defaults.seed_heuristic is False
-        assert defaults.tuner is None
         assert defaults.cache_max_mb is None
         sweep = build_parser().parse_args(
-            ["sweep", "--seed-heuristic", "--tuner", "/tmp/tuner",
-             "--cache-max-mb", "8"]
+            ["sweep", "--seed-heuristic", "--cache-max-mb", "8"]
         )
         assert sweep.seed_heuristic is True
-        assert sweep.tuner == "/tmp/tuner"
         assert sweep.cache_max_mb == 8.0
 
     def test_unknown_search_strategy_rejected(self):
@@ -217,20 +212,6 @@ class TestCommands:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "seed: " in captured.out
-
-    def test_map_with_tuner_consults_on_second_run(self, capsys, tmp_path):
-        tuner = tmp_path / "lane-tuner"
-        argv = [
-            "map", "--kernel", "gsm", "--rows", "2", "--cols", "2",
-            "--timeout", "60", "--search", "portfolio", "--jobs", "2",
-            "--tuner", str(tuner),
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "tuner: cold start" in first
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert "tuner: consulted persisted lane stats" in second
 
     def test_sweep_with_cache_reuses_results(self, capsys, tmp_path):
         cache = tmp_path / "sweepcache"
@@ -433,13 +414,12 @@ class TestServeParser:
     def test_serve_flags_plumbed(self):
         args = build_parser().parse_args([
             "serve", "--port", "0", "--pool", "4", "--cache", "/tmp/c",
-            "--cache-max-mb", "64", "--tuner", "/tmp/t",
+            "--cache-max-mb", "64",
             "--default-timeout", "30", "--max-timeout", "120",
         ])
         assert args.port == 0
         assert args.pool == 4
         assert args.cache == "/tmp/c"
         assert args.cache_max_mb == 64.0
-        assert args.tuner == "/tmp/t"
         assert args.default_timeout == 30.0
         assert args.max_timeout == 120.0
