@@ -11,17 +11,18 @@ in flight.
 Protocol
 --------
 
-* Each worker gets a private task queue; the scheduler pushes one
-  ``{"item": ..., "attempt": n}`` message per lease and ``None`` to stop.
-* All workers share one event queue back to the scheduler:
-  ``("heartbeat", worker, None)`` from a daemon thread every
-  ``lease_ttl / 4`` seconds, and ``("done" | "failed", worker, payload)``
-  per finished attempt.
+* Workers are :class:`repro.workers.Worker` processes with a duplex
+  pipe each.  The scheduler sends one ``{"item": ..., "attempt": n}``
+  message per lease and ``None`` to stop.  The worker sends
+  ``("heartbeat", None)`` from a daemon thread every ``lease_ttl / 4``
+  seconds and ``("done" | "failed", payload)`` per finished attempt; a
+  lock serialises the two senders.
 * A worker that stops heartbeating past the lease TTL is presumed wedged:
-  the scheduler reaps it (:func:`repro.search.portfolio.reap_process` —
-  SIGTERM, bounded grace, SIGKILL), expires the lease, requeues the item
-  and spawns a replacement.  A worker that *dies* (nonzero exit, signal)
-  is detected by liveness polling the same way.
+  the scheduler reaps it (:func:`repro.workers.reap` — SIGTERM, bounded
+  grace, SIGKILL), expires the lease, requeues the item and spawns a
+  replacement.  A worker that *dies* (nonzero exit, signal) wakes the
+  scheduler through its process sentinel; its pipe is drained, then the
+  lease fails with the :func:`repro.workers.crash_detail` of its exit.
 * Respawned workers get fresh monotonic IDs — a lease can never be
   confused between a dead worker and its replacement, and one-shot
   injected faults (targeted at worker 0) fire exactly once.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing as mp
-import queue as stdlib_queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,9 +49,19 @@ from repro.farm.journal import (
 )
 from repro.farm.leases import FarmStats, LeasedWorkQueue
 from repro.farm.retry import TRANSIENT, RetryPolicy, classify_failure
-from repro.search.portfolio import reap_process
+from repro.workers import Worker, crash_detail, crash_reason, wait
 
 __all__ = ["FarmConfig", "FarmOutcome", "materialise_items", "run_farm"]
+
+#: Scheduler wait quantum: the longest the scheduler sleeps without a
+#: worker message or death, so it also bounds lease-expiry latency.
+_WAIT_QUANTUM = 0.1
+
+#: TERM grace for farm workers, shorter than the portfolio's 5 s lane
+#: grace and the service's 20 s job grace: the workers the farm reaps are
+#: mostly wedged (SIGSTOPped workers never see the SIGTERM, only the
+#: SIGKILL), so a long grace only delays the requeue.
+_REAP_GRACE = 2.0
 
 
 @dataclass(frozen=True)
@@ -66,10 +76,6 @@ class FarmConfig:
     #: Resume an existing journal instead of starting a fresh one.
     resume: bool = False
     faults: FaultPlan | None = None
-    #: Scheduler event-wait quantum; also bounds lease-expiry latency.
-    poll_interval: float = 0.1
-    #: SIGTERM grace before a reap escalates to SIGKILL.
-    reap_grace: float = 2.0
 
 
 @dataclass
@@ -118,18 +124,9 @@ def materialise_items(config) -> list[WorkItem]:
 # Worker side
 # ---------------------------------------------------------------------------
 
-def _heartbeat_loop(events, worker_id: int, interval: float, stop) -> None:
-    while not stop.wait(interval):
-        try:
-            events.put(("heartbeat", worker_id, None))
-        except Exception:  # pragma: no cover - scheduler already gone
-            return
-
-
 def _farm_worker(
+    conn,
     worker_id: int,
-    tasks,
-    events,
     config,
     faults: FaultPlan | None,
     heartbeat_interval: float,
@@ -137,47 +134,53 @@ def _farm_worker(
     """Worker main: lease in, verdict out, until the ``None`` sentinel."""
     from repro.experiments.runner import run_single
 
+    lock = threading.Lock()
+
+    def send(message) -> None:
+        with lock:
+            conn.send(message)
+
+    def beat() -> None:
+        while not stop.wait(heartbeat_interval):
+            try:
+                send(("heartbeat", None))
+            except OSError:  # pragma: no cover - scheduler already gone
+                return
+
     stop = threading.Event()
-    threading.Thread(
-        target=_heartbeat_loop,
-        args=(events, worker_id, heartbeat_interval, stop),
-        daemon=True,
-    ).start()
+    heartbeat = threading.Thread(target=beat, daemon=True)
+    heartbeat.start()
     received = 0
-    while True:
-        task = tasks.get()
-        if task is None:
-            break
-        received += 1
-        if faults is not None:
-            # May SIGKILL or SIGSTOP this very process — before any solving
-            # or sending, so the lease is provably still open when we die.
-            faults.on_item_received(worker_id, received)
-        item = WorkItem.from_payload(task["item"])
-        attempt = int(task["attempt"])
-        try:
+    try:
+        while True:
+            task = conn.recv()
+            if task is None:
+                break
+            received += 1
             if faults is not None:
-                faults.check_backend(item.id, attempt)
-            record = run_single(
-                item.kernel, item.size, item.mapper, config, item.scenario
-            )
-            events.put(
-                ("done", worker_id, {"id": item.id,
-                                     "record": dataclasses.asdict(record)})
-            )
-        except BaseException as exc:
-            events.put(
-                (
-                    "failed",
-                    worker_id,
-                    {
-                        "id": item.id,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "kind": classify_failure(exc),
-                    },
+                # May SIGKILL or SIGSTOP this very process — before any
+                # solving or sending, so the lease is provably still open
+                # when we die.
+                faults.on_item_received(worker_id, received)
+            item = WorkItem.from_payload(task["item"])
+            attempt = int(task["attempt"])
+            try:
+                if faults is not None:
+                    faults.check_backend(item.id, attempt)
+                record = run_single(
+                    item.kernel, item.size, item.mapper, config, item.scenario
                 )
-            )
-    stop.set()
+                send(("done", {"id": item.id,
+                               "record": dataclasses.asdict(record)}))
+            except Exception as exc:
+                send(("failed", {
+                    "id": item.id,
+                    "error": f"{type(exc).__name__}: {exc}",
+                    "kind": classify_failure(exc),
+                }))
+    finally:
+        stop.set()
+        heartbeat.join()
 
 
 # ---------------------------------------------------------------------------
@@ -185,70 +188,60 @@ def _farm_worker(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _Worker:
+class _Member:
+    """One pool worker and the scheduler's view of it."""
+
     id: int
-    process: mp.Process
-    tasks: object
+    worker: Worker
     busy: bool = False
-    stopping: bool = False
 
 
 class _Pool:
     """The worker processes, with monotonic IDs across respawns."""
 
-    def __init__(self, ctx, events, config, farm: FarmConfig) -> None:
-        self._ctx = ctx
-        self._events = events
+    def __init__(self, config, farm: FarmConfig) -> None:
+        self._ctx = mp.get_context("fork")
         self._config = config
         self._farm = farm
         self._next_id = 0
-        self.workers: dict[int, _Worker] = {}
-        interval = max(0.02, min(1.0, farm.lease_ttl / 4.0))
-        self._heartbeat_interval = interval
+        self.members: dict[int, _Member] = {}
+        self._heartbeat_interval = max(0.02, min(1.0, farm.lease_ttl / 4.0))
 
-    def spawn(self) -> _Worker:
+    def spawn(self) -> _Member:
         worker_id = self._next_id
         self._next_id += 1
-        tasks = self._ctx.SimpleQueue()
-        process = self._ctx.Process(
-            target=_farm_worker,
-            args=(
-                worker_id,
-                tasks,
-                self._events,
-                self._config,
-                self._farm.faults,
-                self._heartbeat_interval,
-            ),
-            daemon=True,
+        worker = Worker(
+            _farm_worker, worker_id, self._config, self._farm.faults,
+            self._heartbeat_interval, ctx=self._ctx, duplex=True,
         )
-        process.start()
-        worker = _Worker(id=worker_id, process=process, tasks=tasks)
-        self.workers[worker_id] = worker
-        return worker
+        member = _Member(id=worker_id, worker=worker)
+        self.members[worker_id] = member
+        return member
 
-    def idle(self) -> list[_Worker]:
+    def idle(self) -> list[_Member]:
         return [
-            w for w in self.workers.values()
-            if not w.busy and not w.stopping and w.process.is_alive()
+            m for m in self.members.values()
+            if not m.busy and m.worker.process.is_alive()
         ]
 
-    def remove(self, worker_id: int) -> _Worker | None:
-        return self.workers.pop(worker_id, None)
+    def ready(self, timeout: float) -> list[_Member]:
+        """Members with messages to read or a dead process."""
+        by_worker = {m.worker: m for m in self.members.values()}
+        return [by_worker[w] for w in wait(by_worker, timeout)]
 
-    def shutdown(self, grace: float) -> None:
-        for worker in self.workers.values():
-            worker.stopping = True
+    def remove(self, worker_id: int) -> _Member | None:
+        return self.members.pop(worker_id, None)
+
+    def shutdown(self) -> None:
+        for member in self.members.values():
             try:
-                worker.tasks.put(None)
-            except Exception:  # pragma: no cover - broken pipe to dead child
+                member.worker.conn.send(None)
+            except OSError:  # pragma: no cover - broken pipe to dead child
                 pass
-        for worker in self.workers.values():
-            worker.process.join(timeout=grace)
-        for worker in self.workers.values():
-            if worker.process.is_alive():
-                reap_process(worker.process, grace=0.5)
-        self.workers.clear()
+        for member in self.members.values():
+            member.worker.process.join(timeout=_REAP_GRACE)
+            member.worker.reap(_REAP_GRACE)
+        self.members.clear()
 
 
 def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
@@ -306,52 +299,50 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
             if item_id in queue.items and item_id not in queue.results:
                 queue.preload_attempts(item_id, attempts)
 
-    ctx = mp.get_context("fork")
-    events = ctx.Queue()
-    pool = _Pool(ctx, events, config, farm)
+    pool = _Pool(config, farm)
     faults = farm.faults
     corruptions_left = (
         1 if faults is not None and faults.corrupt_cache_after is not None else 0
     )
 
+    def on_message(member: _Member, kind: str, payload) -> None:
+        nonlocal corruptions_left
+        if kind == "heartbeat":
+            queue.heartbeat(member.id)
+        elif kind == "done":
+            member.busy = False
+            if queue.complete(payload["id"], payload["record"]):
+                if report is not None:
+                    report(payload["record"])
+                if (
+                    corruptions_left
+                    and queue.stats.completed > faults.corrupt_cache_after
+                    and getattr(config, "cache_dir", None)
+                ):
+                    from repro.farm.faults import corrupt_newest_entry
+
+                    corrupt_newest_entry(config.cache_dir)
+                    corruptions_left = 0
+        elif kind == "failed":
+            member.busy = False
+            queue.fail(payload["id"], payload["error"], payload["kind"])
+
     try:
         for _ in range(farm.jobs):
-            if queue.outstanding > len(pool.workers):
+            if queue.outstanding > len(pool.members):
                 pool.spawn()
 
         while not queue.finished:
             _dispatch(pool, queue)
-            event = _next_event(events, farm.poll_interval)
-            if event is not None:
-                kind, worker_id, payload = event
-                if kind == "heartbeat":
-                    queue.heartbeat(worker_id)
-                elif kind == "done":
-                    worker = pool.workers.get(worker_id)
-                    if worker is not None:
-                        worker.busy = False
-                    if queue.complete(payload["id"], payload["record"]):
-                        if report is not None:
-                            report(payload["record"])
-                        if (
-                            corruptions_left
-                            and faults.corrupt_cache_after is not None
-                            and queue.stats.completed > faults.corrupt_cache_after
-                            and getattr(config, "cache_dir", None)
-                        ):
-                            from repro.farm.faults import corrupt_newest_entry
-
-                            corrupt_newest_entry(config.cache_dir)
-                            corruptions_left = 0
-                elif kind == "failed":
-                    worker = pool.workers.get(worker_id)
-                    if worker is not None:
-                        worker.busy = False
-                    queue.fail(payload["id"], payload["error"], payload["kind"])
-            _reap_dead(pool, queue)
-            _expire_leases(pool, queue, farm)
+            for member in pool.ready(_WAIT_QUANTUM):
+                # A dead worker's pipe is final: what it sent before dying
+                # lands before its lease is judged.
+                _drain(member, on_message)
+                if not member.worker.process.is_alive():
+                    _reap_dead(pool, queue, member)
+            _expire_leases(pool, queue)
     finally:
-        pool.shutdown(grace=farm.reap_grace)
+        pool.shutdown()
         queue.stats.wall_s = time.perf_counter() - start
         journal.close()
 
@@ -375,59 +366,60 @@ def run_farm(config, farm: FarmConfig, report=None) -> FarmOutcome:
 
 
 def _dispatch(pool: _Pool, queue: LeasedWorkQueue) -> None:
-    for worker in pool.idle():
-        leased = queue.acquire(worker.id)
+    for member in pool.idle():
+        leased = queue.acquire(member.id)
         if leased is None:
             return
         item, attempt = leased
-        worker.tasks.put({"item": item.payload(), "attempt": attempt})
-        worker.busy = True
+        member.busy = True
+        try:
+            member.worker.conn.send({"item": item.payload(), "attempt": attempt})
+        except OSError:  # died since idle(): _reap_dead fails the lease
+            pass
 
 
-def _next_event(events, poll_interval: float):
-    try:
-        return events.get(timeout=poll_interval)
-    except stdlib_queue.Empty:
-        return None
+def _drain(member: _Member, on_message) -> None:
+    """Handle every message waiting on a member's pipe."""
+    conn = member.worker.conn
+    while conn.poll():
+        try:
+            kind, payload = conn.recv()
+        except (EOFError, OSError):  # the worker exited (or died mid-send)
+            return
+        on_message(member, kind, payload)
 
 
-def _reap_dead(pool: _Pool, queue: LeasedWorkQueue) -> None:
-    """Detect workers that died without delivering; requeue and respawn."""
-    for worker in list(pool.workers.values()):
-        if worker.process.is_alive():
-            continue
-        pool.remove(worker.id)
-        worker.process.join()
-        if worker.stopping:
-            continue
-        queue.stats.worker_crashes += 1
-        item_id = queue.lease_of(worker.id)
-        if item_id is not None:
-            exitcode = worker.process.exitcode
-            queue.fail(
-                item_id,
-                f"worker {worker.id} died (exit code {exitcode}) while "
-                f"holding the lease",
-                TRANSIENT,
-            )
-        if queue.outstanding > len(pool.workers):
-            pool.spawn()
-            queue.stats.worker_respawns += 1
+def _reap_dead(pool: _Pool, queue: LeasedWorkQueue, member: _Member) -> None:
+    """Fail a dead worker's lease as transient; respawn if work remains."""
+    pool.remove(member.id)
+    member.worker.reap(_REAP_GRACE)
+    queue.stats.worker_crashes += 1
+    item_id = queue.lease_of(member.id)
+    if item_id is not None:
+        reason = crash_reason(crash_detail(member.worker.process.exitcode))
+        queue.fail(
+            item_id,
+            f"worker {member.id} died ({reason}) while holding the lease",
+            TRANSIENT,
+        )
+    if queue.outstanding > len(pool.members):
+        pool.spawn()
+        queue.stats.worker_respawns += 1
 
 
-def _expire_leases(pool: _Pool, queue: LeasedWorkQueue, farm: FarmConfig) -> None:
+def _expire_leases(pool: _Pool, queue: LeasedWorkQueue) -> None:
     """Revoke leases whose worker stopped heartbeating; reap the worker.
 
-    A wedged (SIGSTOPped) worker is still *alive*, so liveness polling
-    never catches it — only the missing heartbeats do.  ``reap_process``
-    handles the stopped state: SIGTERM is not delivered to a stopped
-    process, but the SIGKILL escalation is.
+    A wedged (SIGSTOPped) worker is still *alive*, so its process
+    sentinel never fires — only the missing heartbeats catch it.
+    :func:`repro.workers.reap` handles the stopped state: SIGTERM is not
+    delivered to a stopped process, but the SIGKILL escalation is.
     """
     for lease in queue.expired():
-        worker = pool.remove(lease.worker)
+        member = pool.remove(lease.worker)
         queue.expire(lease)
-        if worker is not None:
-            reap_process(worker.process, grace=farm.reap_grace)
-        if queue.outstanding > len(pool.workers):
+        if member is not None:
+            member.worker.reap(_REAP_GRACE)
+        if queue.outstanding > len(pool.members):
             pool.spawn()
             queue.stats.worker_respawns += 1

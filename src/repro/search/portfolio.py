@@ -43,14 +43,13 @@ counted in ``MappingOutcome.portfolio_cancelled``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_module
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.sat.encodings import AMOEncoding
 from repro.search.base import SearchContext, SearchResult, SearchStrategy
+from repro.workers import Worker, crash_reason, wait
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from repro.core.mapper import MapperConfig, MappingOutcome
@@ -91,36 +90,11 @@ PORTFOLIO_VARIANTS: dict[str, dict] = {
 #: for a dedicated worker the probe is pure overhead.
 DEFAULT_VARIANTS: tuple[str, ...] = ("no-probe", "default", "pairwise")
 
-#: Seconds between liveness checks while waiting on the result queue.
-_POLL_INTERVAL = 0.2
-
-#: Poll rounds a dead worker's lane stays open for its (possibly still
-#: in-flight) queued answer before being counted as failed.
-_REAP_GRACE_POLLS = 10
-
-#: Seconds a cancelled worker gets to honour SIGTERM before the reap
-#: escalates to SIGKILL (see :func:`reap_process`).
+#: Seconds a cancelled lane gets to honour SIGTERM before the reap
+#: escalates to SIGKILL (see :func:`repro.workers.reap`).  Shorter than
+#: the service's 20 s job grace: a lane starts no processes of its own, so
+#: it has nothing to clean up that a SIGKILL could orphan.
 _TERM_GRACE = 5.0
-
-
-def reap_process(process, grace: float | None = None) -> None:
-    """Cancel a worker process, guaranteeing it is dead on return.
-
-    ``terminate()`` (SIGTERM) first, so the worker can run its cleanup
-    handlers; if it has not exited within ``grace`` seconds (default
-    :data:`_TERM_GRACE`) — a worker stuck in native solver code, or one
-    that installed a SIGTERM handler/ignore — escalate to ``kill()``
-    (SIGKILL, uncatchable) and join without a timeout.  SIGKILL cannot be
-    blocked, so the unbounded join always returns; the old
-    terminate-and-hope path silently leaked any worker that shrugged off
-    SIGTERM, which a long-lived service cannot afford.
-    """
-    if process.is_alive():
-        process.terminate()
-    process.join(timeout=_TERM_GRACE if grace is None else grace)
-    if process.is_alive():
-        process.kill()
-        process.join()
 
 
 def variant_overrides(names: tuple[str, ...]) -> list[dict]:
@@ -147,8 +121,8 @@ def variant_overrides(names: tuple[str, ...]) -> list[dict]:
     return overrides
 
 
-def _portfolio_worker(result_queue, token, dfg, cgra, config, ii) -> None:
-    """Run one (II, variant) mapping attempt and ship the outcome back.
+def _portfolio_worker(dfg, cgra, config, ii) -> "MappingOutcome":
+    """Run one (II, variant) mapping attempt; its outcome is the verdict.
 
     ``config`` arrives fully specialised (variant overrides applied, ladder
     strategy, caching off, ``max_ii`` pinned to ``ii``); the worker is just
@@ -156,11 +130,7 @@ def _portfolio_worker(result_queue, token, dfg, cgra, config, ii) -> None:
     """
     from repro.core.mapper import SatMapItMapper
 
-    try:
-        outcome = SatMapItMapper(config).map(dfg, cgra, start_ii=ii)
-        result_queue.put((token, outcome))
-    except BaseException as exc:  # pragma: no cover - crash containment
-        result_queue.put((token, repr(exc)))
+    return SatMapItMapper(config).map(dfg, cgra, start_ii=ii)
 
 
 #: Sentinel lane index for a regalloc-triggered escalation to the
@@ -224,8 +194,6 @@ class PortfolioStrategy(SearchStrategy):
         overrides = variant_overrides(variant_names)
         jobs = max(1, config.search_jobs)
 
-        mp_ctx = multiprocessing.get_context()
-        result_queue = mp_ctx.Queue()
         # Work items in II-major order: the frontier II gets all its
         # variants in flight before the next II is touched.  Escalation
         # lanes (see ``settle``) jump this queue through ``urgent``.
@@ -236,19 +204,11 @@ class PortfolioStrategy(SearchStrategy):
         ]
         next_item = 0
         urgent: list[tuple[int, int]] = []
-        active: dict[int, tuple] = {}  # token -> (process, ii, lane)
-        spawned: list = []  # every worker process ever launched
-        meta: dict[int, tuple[int, int]] = {}  # token -> (ii, lane), kept
-        settled: set[int] = set()  # tokens whose verdict is recorded
-        cancelled: set[int] = set()  # tokens terminated as moot
-        # Tokens whose process died before their answer arrived: the result
-        # may still be in flight through the queue's feeder thread, so the
-        # lane is only failed after a grace period of poll rounds.
-        pending_dead: dict[int, int] = {}
+        lanes: dict[Worker, tuple[int, int]] = {}  # live lane -> (ii, lane)
+        spawned: list[Worker] = []  # every lane ever launched
         states: dict[int, _IIState] = {}
         frontier = ctx.first_ii
         best_win_ii: int | None = None  # lowest II with a win so far
-        token_counter = 0
 
         outcome = ctx.outcome
 
@@ -259,28 +219,19 @@ class PortfolioStrategy(SearchStrategy):
             return {} if lane == _DEFAULT_LANE else overrides[lane]
 
         def launch(ii: int, lane: int) -> None:
-            nonlocal token_counter
             worker_config = self._worker_config(
                 config, lane_overrides(lane), ii, ctx.remaining_time()
             )
-            token = token_counter
-            token_counter += 1
-            process = mp_ctx.Process(
-                target=_portfolio_worker,
-                args=(result_queue, token, ctx.dfg, ctx.cgra,
-                      worker_config, ii),
-                daemon=True,
-            )
-            process.start()
-            active[token] = (process, ii, lane)
-            spawned.append(process)
-            meta[token] = (ii, lane)
+            worker = Worker(_portfolio_worker, ctx.dfg, ctx.cgra,
+                            worker_config, ii)
+            lanes[worker] = (ii, lane)
+            spawned.append(worker)
             outcome.portfolio_launched += 1
             states.setdefault(ii, _IIState(len(variant_names)))
 
         def dispatch() -> None:
             nonlocal next_item
-            while len(active) < jobs and (urgent or next_item < len(items)):
+            while len(lanes) < jobs and (urgent or next_item < len(items)):
                 if urgent:
                     ii, lane = urgent.pop(0)
                     state = states.get(ii)
@@ -306,34 +257,31 @@ class PortfolioStrategy(SearchStrategy):
                 next_item += 1
                 launch(ii, lane)
 
+        def cancel(worker: Worker) -> None:
+            del lanes[worker]
+            worker.reap(_TERM_GRACE)
+            outcome.portfolio_cancelled += 1
+
         def cancel_all() -> None:
-            for token, (process, _ii, _variant) in active.items():
-                if process.is_alive():
-                    process.terminate()
-                cancelled.add(token)
-                outcome.portfolio_cancelled += 1
-            for process, _ii, _variant in active.values():
-                # The TERM was already sent above; reap_process re-sends it
-                # harmlessly and escalates to SIGKILL on a worker that
-                # ignores it, so no child can outlive the strategy.
-                reap_process(process)
-            active.clear()
+            # TERM every lane first so they wind down in parallel; the reap
+            # re-sends it harmlessly and escalates to SIGKILL on a lane
+            # that ignores it, so no child can outlive the strategy.
+            for worker in lanes:
+                worker.process.terminate()
+            for worker in list(lanes):
+                cancel(worker)
 
-        def settle(token: int, payload) -> None:
-            """Fold one worker's answer into its II's aggregate state.
-
-            Keyed on ``meta`` (which outlives ``active``) so an answer that
-            arrives *after* its dead process was reaped still lands; answers
-            from cancelled workers and double deliveries are dropped.
-            """
+        def settle(ii: int, lane: int, verdict: tuple) -> None:
+            """Fold one lane's verdict into its II's aggregate state."""
             nonlocal best_win_ii
-            if token in settled or token in cancelled or token not in meta:
-                return
-            settled.add(token)
-            pending_dead.pop(token, None)
-            ii, lane = meta[token]
+            kind, payload = verdict
             state = states[ii]
-            if isinstance(payload, str):  # worker crashed; treat as failure
+            if kind != "ok":  # the lane raised or died: a failed lane
+                reason = crash_reason(payload) if kind == "crashed" else payload
+                ctx.mapper._log(
+                    f"portfolio lane {lane_name(lane)} at II={ii} "
+                    f"{kind}: {reason}"
+                )
                 state.failed_lanes += 1
                 return
             worker_outcome = payload
@@ -369,31 +317,19 @@ class PortfolioStrategy(SearchStrategy):
                 state.total_lanes += 1
                 urgent.append((ii, _DEFAULT_LANE))
 
-        def expire_pending_dead() -> None:
-            """Fail the lanes of dead workers whose grace period ran out."""
-            for token in list(pending_dead):
-                pending_dead[token] -= 1
-                if pending_dead[token] > 0:
-                    continue
-                del pending_dead[token]
-                if token in settled or token in cancelled:
-                    continue
-                settled.add(token)
-                ii, _lane = meta[token]
-                states[ii].failed_lanes += 1
+        def moot(ii: int) -> bool:
+            # Above a lower II that already has a win (the answer is at
+            # most that win), or settled either way by a sibling variant.
+            if best_win_ii is not None and ii > best_win_ii:
+                return True
+            state = states.get(ii)
+            return state is not None and state.resolved
 
         try:
             dispatch()
-            while active or pending_dead:
-                deadline = ctx.remaining_time()
-                timeout = (
-                    _POLL_INTERVAL
-                    if deadline is None
-                    else max(0.01, min(_POLL_INTERVAL, deadline))
-                )
-                try:
-                    token, payload = result_queue.get(timeout=timeout)
-                except queue_module.Empty:
+            while lanes:
+                ready = wait(lanes, ctx.remaining_time())
+                if not ready:
                     if ctx.out_of_time():
                         outcome.timed_out = True
                         cancel_all()
@@ -401,21 +337,13 @@ class PortfolioStrategy(SearchStrategy):
                         # The seed is the anytime answer of last resort:
                         # feasible and validated, merely not proven minimal.
                         return self._anytime_result(states, frontier) or seed
-                    # Workers that died without answering get a grace
-                    # period (their result may still be in the queue's
-                    # feeder pipeline) before their lane is failed.
-                    for dead in [t for t, (p, _ii, _v) in active.items()
-                                 if not p.is_alive()]:
-                        process, _ii, _lane = active.pop(dead)
-                        process.join()
-                        if dead not in settled:
-                            pending_dead.setdefault(dead, _REAP_GRACE_POLLS)
-                    expire_pending_dead()
-                else:
-                    settle(token, payload)
-                    entry = active.pop(token, None)
-                    if entry is not None:
-                        entry[0].join()
+                    continue
+                # One verdict per round, so the frontier is re-checked after
+                # each.  A dead lane's pipe is final (answer or EOF): a lane
+                # that died after answering still delivers its answer.
+                worker = ready[0]
+                ii, lane = lanes.pop(worker)
+                settle(ii, lane, worker.verdict())
 
                 # Advance the frontier over every freshly resolved II.
                 while True:
@@ -439,23 +367,22 @@ class PortfolioStrategy(SearchStrategy):
                     cancel_all()
                     self._finalise_attempts(outcome)
                     return seed
-                # Cancel workers made moot by a win at a lower II or by a
+                # Cancel lanes made moot by a win at a lower II or by a
                 # sibling variant settling their II.
-                self._cancel_moot(active, states, best_win_ii, cancelled,
-                                  outcome)
+                for worker in [w for w, (ii, _) in lanes.items() if moot(ii)]:
+                    cancel(worker)
                 dispatch()
         finally:
             cancel_all()
-            result_queue.close()
             # Lifecycle invariant: whatever path led here (win, exhaustion,
             # timeout, crash), no worker may outlive the strategy — a leaked
             # child would accumulate forever in a long-lived service process.
             assert not any(
-                process.is_alive() for process in spawned
+                worker.process.is_alive() for worker in spawned
             ), "portfolio leaked live worker process(es) at strategy exit"
-        # Workers drained without a frontier verdict (e.g. silent worker
-        # deaths resolved the remaining IIs): fall back to the same sound
-        # walk the timeout path uses.
+        # Lanes drained without a frontier verdict (e.g. crashed lanes
+        # resolved the remaining IIs): fall back to the same sound walk the
+        # timeout path uses.
         self._finalise_attempts(outcome)
         return self._anytime_result(states, frontier) or seed
 
@@ -480,29 +407,6 @@ class PortfolioStrategy(SearchStrategy):
         if remaining is not None:
             fields["timeout"] = remaining
         return replace(config, **fields)
-
-    @staticmethod
-    def _cancel_moot(
-        active: dict, states: dict, best_win_ii: int | None,
-        cancelled: set, outcome,
-    ) -> None:
-        """Terminate workers whose answer can no longer matter.
-
-        A worker is moot when its II is above a lower II that already has a
-        win (the answer is at most that win), or when a sibling variant has
-        settled its II either way.
-        """
-        def moot(ii: int) -> bool:
-            if best_win_ii is not None and ii > best_win_ii:
-                return True
-            state = states.get(ii)
-            return state is not None and state.resolved
-
-        for token in [t for t, (_p, ii, _v) in active.items() if moot(ii)]:
-            process, _ii, _variant = active.pop(token)
-            reap_process(process)
-            cancelled.add(token)
-            outcome.portfolio_cancelled += 1
 
     @staticmethod
     def _should_escalate(

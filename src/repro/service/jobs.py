@@ -7,11 +7,11 @@ most ``pool_size`` solves at once, each in its *own worker process*:
   solve is CPU-bound and can be asked to die at any moment; a process per
   job gives the GIL-free parallelism and a kill target, with no state
   shared between requests.
-* **Cancellation** — the worker installs a SIGTERM handler that raises
-  ``SystemExit``, so terminating it unwinds through the mapper's
-  ``finally`` blocks and the portfolio strategy's own ``cancel_all``
-  discipline reaps its racing grandchildren before the worker exits.  The
-  parent side uses the same :func:`~repro.search.portfolio.reap_process`
+* **Cancellation** — workers run under :mod:`repro.workers`, which turns
+  SIGTERM into ``SystemExit``: terminating a worker unwinds through the
+  mapper's ``finally`` blocks and the portfolio strategy's own
+  ``cancel_all`` discipline reaps its racing grandchildren before the
+  worker exits.  The parent side uses the same :func:`repro.workers.reap`
   escalation (SIGTERM, bounded grace, SIGKILL) the portfolio applies to
   its lanes — with a longer grace, so a cooperatively-cancelling worker
   is never SIGKILLed while it is still cleaning up its own children.
@@ -32,9 +32,7 @@ most ``pool_size`` solves at once, each in its *own worker process*:
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import multiprocessing
-import signal
 import threading
 import time
 import uuid
@@ -43,18 +41,17 @@ from typing import Any
 
 from repro.cgra.capabilities import check_kernel_fits, effective_minimum_ii
 from repro.core.mapper import MapperConfig, SatMapItMapper
-from repro.exceptions import MappingError
-from repro.sat.backend import BackendUnavailableError, validate_backend
+from repro.sat.backend import validate_backend
 from repro.search.cache import MappingCache, cache_key, resolve_cache_dir
-from repro.search.portfolio import reap_process
 from repro.service.protocol import (
     MapRequest,
     ServiceLimits,
     outcome_payload,
 )
+from repro.workers import Worker, crash_reason, wait
 
-#: Seconds between cancellation/deadline checks while a worker solves.
-_WORKER_POLL = 0.1
+#: Seconds between cancellation checks while a worker solves.
+_CANCEL_POLL = 0.1
 
 #: Watchdog slack on top of a request's own timeout before the manager
 #: declares the worker wedged and reaps it.
@@ -63,43 +60,14 @@ _BUDGET_GRACE = 30.0
 #: TERM grace for job workers.  Deliberately longer than the portfolio's
 #: internal 5 s lane grace: a cancelled worker may itself be escalating
 #: stubborn grandchildren, and SIGKILLing it mid-cleanup would orphan
-#: them (SIGKILL runs no handlers, so the daemon children would outlive
+#: them (SIGKILL runs no handlers, so its children would outlive
 #: everything).
 _JOB_TERM_GRACE = 20.0
 
 
-def _sigterm_to_exit(signum, frame):  # pragma: no cover - runs in worker
-    """Turn SIGTERM into an orderly unwind.
-
-    Raising ``SystemExit`` runs every active ``finally`` — most
-    importantly the portfolio strategy's ``cancel_all``, which
-    kill-escalates its racing lane processes — before the worker exits.
-    A bare ``terminate()`` would leave those daemon grandchildren running
-    whenever the worker dies without Python-level cleanup.
-    """
-    raise SystemExit(128 + signal.SIGTERM)
-
-
-def _job_worker(conn, dfg, cgra, config: MapperConfig) -> None:
-    """Run one mapping solve and ship a plain-data verdict back."""
-    signal.signal(signal.SIGTERM, _sigterm_to_exit)
-    try:
-        outcome = SatMapItMapper(config).map(dfg, cgra)
-        conn.send(("ok", outcome_payload(outcome)))
-    except (MappingError, BackendUnavailableError) as exc:
-        conn.send(("error", str(exc)))
-    except SystemExit:  # pragma: no cover - cancellation path
-        raise
-    except BaseException as exc:  # pragma: no cover - crash containment
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+def _job_worker(dfg, cgra, config: MapperConfig) -> dict:
+    """Run one mapping solve; its plain-data outcome is the verdict."""
+    return outcome_payload(SatMapItMapper(config).map(dfg, cgra))
 
 
 #: Job lifecycle states.
@@ -201,41 +169,6 @@ class ServiceStats:
         return self.cache["hits"] / looked_up
 
 
-def _crash_detail(exitcode: int | None) -> dict:
-    """Structured ``worker_crashed`` record from a worker's exit code.
-
-    A negative multiprocessing exit code means death by signal; the signal
-    number (and name, when the platform knows it) is reported separately
-    from a plain nonzero exit so an operator can tell an OOM kill
-    (SIGKILL) from a solver abort at a glance.
-    """
-    detail: dict[str, Any] = {
-        "kind": "worker_crashed",
-        "exit_code": exitcode,
-        "signal": None,
-        "signal_name": None,
-    }
-    if exitcode is not None and exitcode < 0:
-        signum = -exitcode
-        detail["exit_code"] = None
-        detail["signal"] = signum
-        try:
-            detail["signal_name"] = signal.Signals(signum).name
-        except ValueError:
-            pass
-    return detail
-
-
-def _crash_message(detail: dict) -> str:
-    if detail.get("signal") is not None:
-        name = detail.get("signal_name") or f"signal {detail['signal']}"
-        return f"mapping worker died unexpectedly (killed by {name})"
-    return (
-        f"mapping worker died unexpectedly "
-        f"(exit code {detail.get('exit_code')})"
-    )
-
-
 def _solve_in_process(
     ctx, job: Job, dfg, cgra, config: MapperConfig, budget: float,
 ) -> tuple[str, Any]:
@@ -245,57 +178,22 @@ def _solve_in_process(
     ``("crashed", detail)`` / ``("cancelled", None)``.  Guarantees the
     worker is dead on return, whatever happened.
     """
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    process = ctx.Process(
-        target=_job_worker, args=(child_conn, dfg, cgra, config),
-    )
-    process.start()
-    child_conn.close()
-    job.pid = process.pid
+    worker = Worker(_job_worker, dfg, cgra, config, ctx=ctx)
+    job.pid = worker.process.pid
     deadline = time.monotonic() + budget
-    message: tuple[str, Any] | None = None
     try:
-        while True:
+        while not wait([worker], _CANCEL_POLL):
             if job.cancel_event.is_set():
-                reap_process(process, grace=_JOB_TERM_GRACE)
                 return ("cancelled", None)
             if time.monotonic() > deadline:
-                reap_process(process, grace=_JOB_TERM_GRACE)
                 return (
                     "error",
                     f"worker exceeded the request budget "
                     f"(hard ceiling {budget:.0f}s) and was reaped",
                 )
-            if parent_conn.poll(_WORKER_POLL):
-                try:
-                    message = parent_conn.recv()
-                except EOFError:
-                    message = None
-                break
-            if not process.is_alive():
-                # The worker died without answering; drain a message that
-                # may have landed between the poll and the liveness check.
-                if parent_conn.poll(0):
-                    try:
-                        message = parent_conn.recv()
-                    except EOFError:
-                        message = None
-                break
-        if message is None:
-            # Join first: a worker whose pipe EOFed may not be reaped yet,
-            # and an unreaped child reads back as ``exitcode is None``.
-            process.join(timeout=2.0)
-            return ("crashed", _crash_detail(process.exitcode))
-        return message
+        return worker.verdict()
     finally:
-        try:
-            parent_conn.close()
-        except OSError:
-            pass
-        if process.is_alive():
-            process.join(timeout=2.0)
-        if process.is_alive():  # pragma: no cover - wedged worker
-            reap_process(process, grace=_JOB_TERM_GRACE)
+        worker.reap(_JOB_TERM_GRACE)
 
 
 class JobManager:
@@ -418,7 +316,10 @@ class JobManager:
                 self.stats.cancelled += 1
             elif verdict == "crashed":
                 job.failure = payload
-                job.error = _crash_message(payload)
+                job.error = (
+                    f"mapping worker died unexpectedly "
+                    f"({crash_reason(payload)})"
+                )
                 job.status = FAILED
                 self.stats.failed += 1
                 self.stats.worker_crashes += 1

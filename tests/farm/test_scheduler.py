@@ -51,6 +51,20 @@ class TestFarmMatchesSerial:
         assert farmed.farm.worker_crashes == 0
         assert clean.farm is None  # serial sweeps bypass the farm
 
+    def test_portfolio_sweep_runs_in_farm_workers(self, clean):
+        # A farm worker must be able to start portfolio lanes of its own
+        # (daemonic workers cannot have children).
+        config = ExperimentConfig(
+            kernels=FAST.kernels,
+            sizes=FAST.sizes,
+            mappers=FAST.mappers,
+            timeout=FAST.timeout,
+            search="portfolio",
+            search_jobs=2,
+        )
+        farmed = run_sweep(config, jobs=2)
+        assert _shape(farmed) == _shape(clean)
+
     def test_env_chaos_routes_serial_sweep_through_farm(self, clean, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "backend-rate=1.0,backend-attempts=1")
         faulted = run_sweep(FAST)  # jobs=1, but chaos forces the farm

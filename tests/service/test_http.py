@@ -193,10 +193,9 @@ class TestMapEndpoint:
         assert list((tmp_path / "team-a").glob("*.json"))
 
 
-def _slow_ok_worker(conn, dfg, cgra, config):
+def _slow_ok_worker(dfg, cgra, config):
     time.sleep(1.5)
-    conn.send(("ok", {"success": True, "ii": 99, "cache": None}))
-    conn.close()
+    return {"success": True, "ii": 99, "cache": None}
 
 
 class TestConcurrentDedup:
@@ -233,7 +232,7 @@ class TestConcurrentDedup:
         assert stats["requests"]["solves_started"] == 1
 
 
-def _sleepy_worker(conn, dfg, cgra, config):
+def _sleepy_worker(dfg, cgra, config):
     time.sleep(600)
 
 

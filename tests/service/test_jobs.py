@@ -42,11 +42,11 @@ def request(tenant: str = "default", timeout: float = 60.0, **config):
     )
 
 
-def _sleepy_worker(conn, dfg, cgra, config):
+def _sleepy_worker(dfg, cgra, config):
     time.sleep(600)
 
 
-def _stubborn_worker(conn, dfg, cgra, config):
+def _stubborn_worker(dfg, cgra, config):
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     time.sleep(600)
 
@@ -286,12 +286,12 @@ class TestStats:
         assert payload["cache"]["temp_files_swept"] == 1
 
 
-def _exiting_worker(conn, dfg, cgra, config):
+def _exiting_worker(dfg, cgra, config):
     import os
-    os._exit(3)  # dies without ever writing a verdict to the pipe
+    os._exit(3)  # dies without ever sending a verdict
 
 
-def _self_killing_worker(conn, dfg, cgra, config):
+def _self_killing_worker(dfg, cgra, config):
     import os
     os.kill(os.getpid(), signal.SIGKILL)
 
